@@ -53,10 +53,10 @@ cargo run --release --bin fig01b_doubling -- --scale --app Ocean --quiet
 # Bench trajectory: regenerate the tier-1 suite through the parallel
 # experiment engine — cache disabled so the numbers reflect the code as
 # built, never a stale cached result — and gate on regressions against the
-# committed baseline (seeded on first run; refreshed in place after a pass
-# so the baseline tracks the trajectory).
+# committed baseline. The gate never rewrites the baseline: it changes only
+# through a deliberate commit.
 cargo run --release --bin obs_report -- --bench "$OBS_OUT/bench_new.json" --no-cache --quiet
-cargo xtask bench-diff BENCH_tier1.json "$OBS_OUT/bench_new.json" --update
+cargo xtask bench-diff BENCH_tier1.json "$OBS_OUT/bench_new.json"
 
 # Host-side profiling demo: one observed run with `--prof` (counting
 # allocator in) must still pass the determinism self-check — host-phase
@@ -67,8 +67,8 @@ cargo run --release --features prof --bin obs_report -- \
 # Wall-clock trajectory: the microbench suite over the host hot paths, in
 # the fast smoke configuration, gated against the committed baseline —
 # median time may not double, exact allocation counts may not grow past
-# 10%. Archived next to the other artifacts; refreshed in place after a
-# pass so the baseline tracks the host the gate runs on.
+# 10%. Archived next to the other artifacts; the committed baseline changes
+# only through a deliberate commit, never by the gate itself.
 cargo run --release --features prof --bin wall_bench -- \
     --fast --save-baseline "$OBS_OUT/wall_report.json"
-cargo xtask wall-diff BENCH_WALL.json "$OBS_OUT/wall_report.json" --update
+cargo xtask wall-diff BENCH_WALL.json "$OBS_OUT/wall_report.json"

@@ -337,4 +337,28 @@ mod tests {
         assert_eq!(seq.checksum, 0xDEAD);
         assert_eq!(seq.nprocs, 1);
     }
+
+    #[test]
+    #[should_panic(expected = "processor 1 gave up after reading 0")]
+    fn workload_panic_message_reaches_the_caller() {
+        struct Quitter;
+        impl Workload for Quitter {
+            fn name(&self) -> &'static str {
+                "Quitter"
+            }
+            fn run(&self, ctx: &mut Ctx<'_>) -> u64 {
+                let v = ctx.read_u64(0);
+                if ctx.pid == 1 {
+                    panic!("processor 1 gave up after reading {v}");
+                }
+                ctx.barrier();
+                v
+            }
+        }
+        run_app(
+            SysParams::default().with_nprocs(2),
+            Protocol::TreadMarks(ncp2_core::OverlapMode::Base),
+            Quitter,
+        );
+    }
 }

@@ -4,7 +4,8 @@
 //! Where `ncp2-obs` accounts for *simulated* cycles, this suite measures the
 //! *host* cost of the implementation's known hot paths: diff create/apply,
 //! bit-vector scans, vector-clock merges, span/edge emission, router hops,
-//! transport resequencing under retransmission, and cache-key hashing. Every
+//! transport resequencing under retransmission, cache-key hashing, and the
+//! front end's workload-thread handoff. Every
 //! bench runs through the in-tree criterion stand-in, which reports the
 //! median of K samples and — when `ncp2-prof`'s counting allocator is
 //! installed (the `prof` feature) — exact per-iteration allocation counts.
@@ -15,6 +16,7 @@
 
 use criterion::{BatchSize, Criterion};
 use std::hint::black_box;
+use std::sync::{Arc, Barrier};
 
 use ncp2::core::bitvec::DirtyVec;
 use ncp2::core::diff::Diff;
@@ -24,7 +26,7 @@ use ncp2::core::vtime::VectorTime;
 use ncp2::core::{EdgeKind, MsgKind, SpanKind};
 use ncp2::net::Network;
 use ncp2::prelude::*;
-use ncp2::sim::SimRng;
+use ncp2::sim::{ProcHarness, ProcOp, ProcPort, ProcReply, SimRng};
 use ncp2_fault::{FaultPlan, LinkWindow};
 
 use crate::engine::{Job, WorkloadSpec};
@@ -278,6 +280,94 @@ fn bench_svc_arrivals(c: &mut Criterion) {
     });
 }
 
+/// Simulated processors in the front-end benches: the paper's cluster size.
+const PROCS: usize = 16;
+
+/// Spawns `PROCS` workload threads that each wait at a start barrier, then
+/// run `body(pid, port)` and issue `Finish`. The barrier is returned so the
+/// timed region can start them all at once, leaving spawn cost untimed.
+fn gated_harness<F>(body: F) -> (ProcHarness, Arc<Barrier>)
+where
+    F: Fn(usize, &ProcPort) + Send + Sync + 'static,
+{
+    let start = Arc::new(Barrier::new(PROCS + 1));
+    let gate = Arc::clone(&start);
+    let harness = ProcHarness::spawn(PROCS, move |pid, port| {
+        gate.wait();
+        body(pid, &port);
+        port.call(ProcOp::Finish);
+    });
+    (harness, start)
+}
+
+/// An echo back end: serves the processors round-robin, one op each per
+/// turn as the simulator's min-clock scheduler interleaves them, answering
+/// every `Read` with its address xor the processor id.
+fn echo_back_end((harness, start): (ProcHarness, Arc<Barrier>)) {
+    start.wait();
+    let mut done = [false; PROCS];
+    let mut live = PROCS;
+    while live > 0 {
+        for (pid, finished) in done.iter_mut().enumerate() {
+            if *finished {
+                continue;
+            }
+            let reply = match harness.next_op(pid) {
+                ProcOp::Read { addr, .. } => ProcReply::Value(addr ^ pid as u64),
+                ProcOp::Finish => {
+                    *finished = true;
+                    live -= 1;
+                    ProcReply::Ack
+                }
+                _ => ProcReply::Ack,
+            };
+            harness.reply(pid, reply);
+        }
+    }
+    harness.join();
+}
+
+/// Front-end handoff cost at 16 workload threads. `value_round_trip_16` is
+/// 64 `Read`s per thread, each a blocking round trip; `ack_stream_16` is a
+/// burst of 256 `Write`s per thread, which need no reply, then one `Read`.
+/// Thread spawn is untimed; the timed region starts the threads, drives
+/// every op through an echo back end, and joins them.
+fn bench_proc(c: &mut Criterion) {
+    c.bench_function("proc/value_round_trip_16", |b| {
+        b.iter_batched(
+            || {
+                gated_harness(|pid, port| {
+                    for i in 0..64 {
+                        let r = port.call(ProcOp::Read { addr: i, bytes: 8 });
+                        assert_eq!(r.value(), i ^ pid as u64, "echo reply mismatch");
+                    }
+                })
+            },
+            echo_back_end,
+            BatchSize::LargeInput,
+        )
+    });
+    c.bench_function("proc/ack_stream_16", |b| {
+        b.iter_batched(
+            || {
+                gated_harness(|pid, port| {
+                    for i in 0..256 {
+                        port.call(ProcOp::Write {
+                            addr: 8 * i,
+                            bytes: 8,
+                            value: i,
+                        });
+                    }
+                    let r = port.call(ProcOp::Read { addr: 0, bytes: 8 });
+                    assert_eq!(r.value(), pid as u64, "echo reply mismatch");
+                })
+            },
+            echo_back_end,
+            BatchSize::LargeInput,
+        )
+    });
+}
+
 /// Registers the whole suite on `c`, in gate order. This is the single
 /// source of truth for what `BENCH_WALL.json` covers.
 pub fn register_all(c: &mut Criterion) {
@@ -290,4 +380,5 @@ pub fn register_all(c: &mut Criterion) {
     bench_transport_resequence(c);
     bench_cache_key(c);
     bench_svc_arrivals(c);
+    bench_proc(c);
 }

@@ -5,7 +5,7 @@
 //!
 //! | Crate | Contents |
 //! |---|---|
-//! | [`sim`] | deterministic discrete-event engine, Table-1 parameters, rendezvous front end |
+//! | [`sim`] | deterministic discrete-event engine, Table-1 parameters, run-ahead front end |
 //! | [`mem`] | TLB, direct-mapped cache, write buffer, DRAM, PCI bus |
 //! | [`net`] | wormhole-routed mesh with per-link contention |
 //! | [`core`] | TreadMarks (Base/I/I+D/P/I+P/I+P+D), the NCP2 protocol controller, AURC(+P) |

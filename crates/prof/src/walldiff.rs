@@ -13,9 +13,9 @@
 //!   exact, host-speed-independent, and an allocation regression on a hot
 //!   path is precisely the kind of creep this gate exists to catch.
 //!
-//! Shrinkage never fails: the baseline is refreshed in place after a pass
-//! (`--update`), so improvements ratchet in the same way `BENCH_tier1.json`
-//! tracks simulated cycles.
+//! Shrinkage never fails. `--update` rewrites the baseline after a pass;
+//! CI does not use it, so the committed baseline changes only through a
+//! deliberate commit.
 
 use std::collections::BTreeMap;
 

@@ -3,7 +3,7 @@
 //! Building blocks for the NCP2 software-DSM simulation study (Bianchini et
 //! al., ASPLOS 1996): a deterministic event queue, FIFO resource reservation,
 //! the Table-1 system parameters, a seeded RNG, execution-time breakdown
-//! accounting, and the *rendezvous front end* that lets real Rust workload
+//! accounting, and the *run-ahead front end* that lets real Rust workload
 //! threads drive the simulated computation processors one shared-memory
 //! reference at a time (the role Mint played in the paper).
 //!

@@ -26,7 +26,8 @@
 //! any run's total cycles, breakdown category or latency percentile grew
 //! past the threshold (default 5%, with a 100-cycle absolute floor). With
 //! `--update`, a passing (or missing) baseline is rewritten with the new
-//! numbers, which is how `BENCH_tier1.json` tracks the trajectory.
+//! numbers; `ci.sh` does not pass it, so `BENCH_tier1.json` changes only
+//! through a deliberate commit.
 //!
 //! # `cargo xtask wall-diff old.json new.json`
 //!
@@ -35,8 +36,9 @@
 //! time more than doubled (noisy CI hosts get a generous gate) or its
 //! allocation count/bytes grew past 10% (exact counters get a tight one) —
 //! thresholds overridable with `--time-threshold` / `--alloc-threshold`.
-//! With `--update`, a passing (or missing) baseline is rewritten, which is
-//! how `BENCH_WALL.json` tracks the trajectory.
+//! With `--update`, a passing (or missing) baseline is rewritten; `ci.sh`
+//! does not pass it, so `BENCH_WALL.json` changes only through a deliberate
+//! commit.
 
 use std::path::PathBuf;
 use std::process::{Command, ExitCode};
