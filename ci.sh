@@ -72,3 +72,9 @@ cargo run --release --features prof --bin obs_report -- \
 cargo run --release --features prof --bin wall_bench -- \
     --fast --save-baseline "$OBS_OUT/wall_report.json"
 cargo xtask wall-diff BENCH_WALL.json "$OBS_OUT/wall_report.json"
+
+# Pooling gate: with the counting allocator in, the pooled arenas must cut
+# steady-state event-loop allocations per Ocean@64 iteration by >= 5x, and
+# pooling must leave every simulated output byte-identical. Without the
+# `prof` feature the allocation half of this test only checks its stubs.
+cargo test --release -p ncp2-bench --features prof --test arena_inert

@@ -3,7 +3,8 @@
 //!
 //! Where `ncp2-obs` accounts for *simulated* cycles, this suite measures the
 //! *host* cost of the implementation's known hot paths: diff create/apply,
-//! bit-vector scans, vector-clock merges, span/edge emission, router hops,
+//! bit-vector scans, vector-clock merges, a barrier release's interval
+//! bookkeeping, span/edge emission, router hops,
 //! transport resequencing under retransmission, cache-key hashing, and the
 //! front end's workload-thread handoff. Every
 //! bench runs through the in-tree criterion stand-in, which reports the
@@ -20,6 +21,7 @@ use std::sync::{Arc, Barrier};
 
 use ncp2::core::bitvec::DirtyVec;
 use ncp2::core::diff::Diff;
+use ncp2::core::interval::{IntervalAnnouncement, IntervalStore};
 use ncp2::core::page::PageBuf;
 use ncp2::core::span::ObsRecorder;
 use ncp2::core::vtime::VectorTime;
@@ -107,6 +109,43 @@ fn bench_vtime(c: &mut Criterion) {
     });
     c.bench_function("vtime/covers_16", |bch| {
         bch.iter(|| black_box(&a).covers(black_box(&b)))
+    });
+}
+
+/// One node's share of a 256-node barrier release: record the 256 shared,
+/// 256-wide announcements into a fresh store, then collect them with the
+/// merged barrier time. Recording adds a handle, never a copy, so the exact
+/// allocation count is the store's own growth; copying announcements per
+/// node again would show up here.
+fn bench_interval(c: &mut Criterion) {
+    const N: usize = 256;
+    let mut floor = VectorTime::new(N);
+    let anns: Vec<Arc<IntervalAnnouncement>> = (0..N)
+        .map(|owner| {
+            let mut vt = VectorTime::new(N);
+            for p in 0..=owner {
+                vt.observe(p, 1);
+            }
+            floor.observe(owner, 1);
+            Arc::new(IntervalAnnouncement {
+                owner,
+                id: 1,
+                vt,
+                pages: vec![owner as u64, (owner + N) as u64],
+            })
+        })
+        .collect();
+    c.bench_function("interval/barrier_release_256", |b| {
+        b.iter_batched(
+            IntervalStore::new,
+            |mut store| {
+                for a in &anns {
+                    store.record(Arc::clone(a));
+                }
+                store.gc_covered(black_box(&floor))
+            },
+            BatchSize::SmallInput,
+        )
     });
 }
 
@@ -374,6 +413,7 @@ pub fn register_all(c: &mut Criterion) {
     bench_diff(c);
     bench_bitvec(c);
     bench_vtime(c);
+    bench_interval(c);
     bench_obs_emit(c);
     bench_network(c);
     bench_queue(c);

@@ -7,6 +7,7 @@
 //! (§2 of the paper).
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use crate::page::PageId;
 use crate::vtime::{IntervalId, VectorTime};
@@ -22,8 +23,11 @@ pub struct Notice {
     pub interval: IntervalId,
 }
 
-/// A full interval announcement as shipped on lock-grant and barrier
-/// messages: identity, timestamp and the pages it dirtied.
+/// A full interval announcement: identity, timestamp and the pages it
+/// dirtied. An interval is an immutable fact once closed, so each one is
+/// built once, when its owner closes it, and travels and is stored as a
+/// shared [`Arc`] handle: lock grants, barrier traffic and every node's
+/// [`IntervalStore`] point at the same allocation.
 #[derive(Debug, PartialEq, Eq)]
 pub struct IntervalAnnouncement {
     /// Processor that created the interval.
@@ -34,22 +38,6 @@ pub struct IntervalAnnouncement {
     pub vt: VectorTime,
     /// Pages dirtied during the interval.
     pub pages: Vec<PageId>,
-}
-
-impl Clone for IntervalAnnouncement {
-    fn clone(&self) -> Self {
-        // Announcements are cloned onto every lock grant and barrier
-        // broadcast (O(n) copies per barrier); the page list is recycled
-        // through the thread-local pool.
-        let mut pages = crate::pool::take_ids();
-        pages.extend_from_slice(&self.pages);
-        IntervalAnnouncement {
-            owner: self.owner,
-            id: self.id,
-            vt: self.vt.clone(),
-            pages,
-        }
-    }
 }
 
 impl Drop for IntervalAnnouncement {
@@ -73,14 +61,20 @@ impl IntervalAnnouncement {
     pub fn encoded_bytes(&self) -> u64 {
         24 + 8 * self.pages.len() as u64
     }
+
+    /// The component sum of the close-time vector time: the causal sort
+    /// key for diff application (strictly monotone along causal chains).
+    pub fn vt_sum(&self) -> u64 {
+        self.vt.iter().map(|(_, v)| v as u64).sum()
+    }
 }
 
-/// A pooled list of interval announcements — the payload of lock grants
-/// and barrier traffic, and the result type of [`IntervalStore`] queries.
-/// The backing storage recycles through [`crate::pool`]; clearing it also
-/// drops each announcement, returning *its* pooled internals.
+/// A pooled list of shared interval announcements — the payload of lock
+/// grants and barrier traffic, and the result type of [`IntervalStore`]
+/// queries. The backing storage recycles through [`crate::pool`]; cloning
+/// the list clones handles, never announcements.
 #[derive(Debug, PartialEq, Eq)]
-pub struct AnnList(Vec<IntervalAnnouncement>);
+pub struct AnnList(Vec<Arc<IntervalAnnouncement>>);
 
 impl Default for AnnList {
     fn default() -> Self {
@@ -103,8 +97,8 @@ impl Drop for AnnList {
 }
 
 impl std::ops::Deref for AnnList {
-    type Target = [IntervalAnnouncement];
-    fn deref(&self) -> &[IntervalAnnouncement] {
+    type Target = [Arc<IntervalAnnouncement>];
+    fn deref(&self) -> &[Arc<IntervalAnnouncement>] {
         &self.0
     }
 }
@@ -115,15 +109,22 @@ impl AnnList {
         Self::default()
     }
 
-    /// Appends one announcement.
-    pub fn push(&mut self, ann: IntervalAnnouncement) {
+    /// Appends one announcement handle.
+    pub fn push(&mut self, ann: Arc<IntervalAnnouncement>) {
         self.0.push(ann);
     }
 
-    /// Moves every announcement out, leaving the container empty (and
-    /// still pool-backed).
-    pub fn drain(&mut self) -> std::vec::Drain<'_, IntervalAnnouncement> {
+    /// Moves every handle out, leaving the container empty (and still
+    /// pool-backed).
+    pub fn drain(&mut self) -> std::vec::Drain<'_, Arc<IntervalAnnouncement>> {
         self.0.drain(..)
+    }
+
+    /// Sorts into `(owner, id)` order and drops repeated intervals — the
+    /// order and the idempotence [`IntervalStore::all`] gives a store.
+    pub fn sort_dedup(&mut self) {
+        self.0.sort_unstable_by_key(|a| (a.owner, a.id));
+        self.0.dedup_by_key(|a| (a.owner, a.id));
     }
 }
 
@@ -175,6 +176,12 @@ impl IvlList {
 /// compute the announcements a releaser must ship to an acquirer, and
 /// garbage-collected at barriers.
 ///
+/// The store holds shared handles: recording an announcement that arrived
+/// on a grant or a barrier release adds a reference to the owner's one
+/// allocation, never a copy of its vector time and page list. Whatever a
+/// node needs about an interval after the barrier GC has collected it (the
+/// causal sort key) lives in the simulation's machine-wide table, not here.
+///
 /// Laid out struct-of-arrays style: one id-ordered run per owner instead
 /// of a `BTreeMap` keyed by `(owner, id)`. Along any causal chain a node
 /// learns an owner's intervals in increasing id order, so `record` is an
@@ -185,15 +192,7 @@ impl IvlList {
 pub struct IntervalStore {
     /// `by_owner[p]` holds owner `p`'s known intervals in ascending id
     /// order (runs reuse their ring capacity across the GC cycle).
-    by_owner: Vec<VecDeque<IntervalAnnouncement>>,
-    /// `sums[p][id]` is the component sum of owner `p`'s interval `id`'s
-    /// close-time vector time — the causal sort key for diff application.
-    /// Deliberately **not** garbage-collected: a page's pending notices can
-    /// outlive the barrier that collects the full announcements, and the
-    /// fault that finally services them still needs the causal order. At
-    /// 8 B per interval this retains ~50× less than keeping whole
-    /// announcements (identity + vector time + page list) alive.
-    sums: Vec<Vec<u64>>,
+    by_owner: Vec<VecDeque<Arc<IntervalAnnouncement>>>,
     count: usize,
 }
 
@@ -204,24 +203,16 @@ impl IntervalStore {
     }
 
     /// Records an interval (idempotent: re-announcements are ignored).
-    pub fn record(&mut self, ann: IntervalAnnouncement) {
+    pub fn record(&mut self, ann: Arc<IntervalAnnouncement>) {
         if self.by_owner.len() <= ann.owner {
             self.by_owner.resize_with(ann.owner + 1, VecDeque::new);
-            self.sums.resize_with(ann.owner + 1, Vec::new);
         }
-        let sums = &mut self.sums[ann.owner];
-        let idx = ann.id as usize;
-        if sums.len() <= idx {
-            sums.resize(idx + 1, 0);
-        }
-        sums[idx] = ann.vt.iter().map(|(_, v)| v as u64).sum();
         let run = &mut self.by_owner[ann.owner];
         if run.back().is_none_or(|last| last.id < ann.id) {
             run.push_back(ann);
         } else {
-            // Out-of-order announcement (e.g. a barrier manager merging
-            // arrival sets from several nodes): splice into id order,
-            // ignoring duplicates.
+            // Out-of-order announcement (e.g. sets merged from several
+            // nodes): splice into id order, ignoring duplicates.
             let pos = run.partition_point(|a| a.id < ann.id);
             if run.get(pos).is_some_and(|a| a.id == ann.id) {
                 return;
@@ -232,22 +223,10 @@ impl IntervalStore {
     }
 
     /// Looks up one interval.
-    pub fn get(&self, owner: usize, id: IntervalId) -> Option<&IntervalAnnouncement> {
+    pub fn get(&self, owner: usize, id: IntervalId) -> Option<&Arc<IntervalAnnouncement>> {
         let run = self.by_owner.get(owner)?;
         let pos = run.partition_point(|a| a.id < id);
         run.get(pos).filter(|a| a.id == id)
-    }
-
-    /// The component sum of the interval's close-time vector time, or 0 if
-    /// the interval was never recorded here. Unlike [`Self::get`], this
-    /// survives [`Self::gc_covered`] — fault-time causal ordering of diffs
-    /// needs it long after the full announcements are collected.
-    pub fn vt_sum(&self, owner: usize, id: IntervalId) -> u64 {
-        self.sums
-            .get(owner)
-            .and_then(|s| s.get(id as usize))
-            .copied()
-            .unwrap_or(0)
     }
 
     /// Number of intervals retained.
@@ -269,7 +248,7 @@ impl IntervalStore {
             // Covered ids form a prefix of the ascending run.
             let from = run.partition_point(|a| their_vt.covers_interval(owner, a.id));
             for a in run.iter().skip(from) {
-                out.push(a.clone());
+                out.push(Arc::clone(a));
             }
         }
         out
@@ -281,7 +260,7 @@ impl IntervalStore {
         let mut out = AnnList::new();
         for run in &self.by_owner {
             for a in run {
-                out.push(a.clone());
+                out.push(Arc::clone(a));
             }
         }
         out
@@ -309,15 +288,15 @@ impl IntervalStore {
 mod tests {
     use super::*;
 
-    fn ann(owner: usize, id: IntervalId, pages: &[PageId], n: usize) -> IntervalAnnouncement {
+    fn ann(owner: usize, id: IntervalId, pages: &[PageId], n: usize) -> Arc<IntervalAnnouncement> {
         let mut vt = VectorTime::new(n);
         vt.observe(owner, id);
-        IntervalAnnouncement {
+        Arc::new(IntervalAnnouncement {
             owner,
             id,
             vt,
             pages: pages.to_vec(),
-        }
+        })
     }
 
     #[test]
@@ -354,6 +333,68 @@ mod tests {
         assert_eq!(s.gc_covered(&floor), 2);
         assert_eq!(s.len(), 1);
         assert!(s.get(0, 2).is_some());
+    }
+
+    #[test]
+    fn recording_into_many_stores_keeps_one_allocation() {
+        let a = ann(1, 3, &[7, 8], 256);
+        let mut stores: Vec<IntervalStore> = (0..64).map(|_| IntervalStore::new()).collect();
+        for s in &mut stores {
+            s.record(Arc::clone(&a));
+        }
+        assert_eq!(Arc::strong_count(&a), 65);
+        for s in &stores {
+            assert!(Arc::ptr_eq(s.get(1, 3).unwrap(), &a));
+        }
+        drop(stores);
+        assert_eq!(Arc::strong_count(&a), 1);
+    }
+
+    #[test]
+    fn queries_return_shared_handles() {
+        let mut s = IntervalStore::new();
+        let (a, b) = (ann(0, 1, &[1], 4), ann(2, 1, &[2], 4));
+        s.record(Arc::clone(&a));
+        s.record(Arc::clone(&b));
+        let missing = s.missing_for(&VectorTime::new(4));
+        let all = s.all();
+        for list in [&missing, &all] {
+            assert_eq!(list.len(), 2);
+            assert!(Arc::ptr_eq(&list[0], &a) && Arc::ptr_eq(&list[1], &b));
+        }
+        // Cloning a list clones handles, not announcements.
+        let copy = all.clone();
+        assert!(Arc::ptr_eq(&copy[0], &a));
+        assert_eq!(Arc::strong_count(&a), 5);
+    }
+
+    #[test]
+    fn sort_dedup_matches_a_store_all() {
+        let (a, b, c) = (ann(1, 2, &[], 4), ann(0, 5, &[], 4), ann(1, 1, &[], 4));
+        let mut list = AnnList::new();
+        let mut store = IntervalStore::new();
+        for x in [&a, &b, &c, &a, &b] {
+            list.push(Arc::clone(x));
+            store.record(Arc::clone(x));
+        }
+        list.sort_dedup();
+        assert_eq!(list, store.all());
+        let keys: Vec<(usize, IntervalId)> = list.iter().map(|a| (a.owner, a.id)).collect();
+        assert_eq!(keys, vec![(0, 5), (1, 1), (1, 2)]);
+    }
+
+    #[test]
+    fn vt_sum_is_the_component_sum() {
+        let mut vt = VectorTime::new(3);
+        vt.observe(0, 4);
+        vt.observe(2, 5);
+        let a = IntervalAnnouncement {
+            owner: 0,
+            id: 4,
+            vt,
+            pages: Vec::new(),
+        };
+        assert_eq!(a.vt_sum(), 9);
     }
 
     #[test]

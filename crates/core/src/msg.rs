@@ -1,5 +1,7 @@
 //! Inter-node protocol messages and their wire sizes.
 
+use std::sync::Arc;
+
 use ncp2_sim::ops::{BarrierId, LockId};
 use ncp2_sim::Cycles;
 
@@ -53,8 +55,9 @@ pub enum Msg {
         /// Requester's vector time. A writer may substitute a whole page for
         /// the diffs only when its own vector time covers this one —
         /// otherwise the copy could clobber concurrent intervals the
-        /// requester has already applied.
-        requester_vt: VectorTime,
+        /// requester has already applied. One snapshot is shared by every
+        /// per-writer request of the same fault or prefetch.
+        requester_vt: Arc<VectorTime>,
         /// Whether this is a (low-priority) prefetch.
         prefetch: bool,
         /// Whether the requester wants the whole page instead of diffs
@@ -95,8 +98,8 @@ pub enum Msg {
         vt: VectorTime,
         /// All intervals merged at the manager. The release is an `n`-way
         /// broadcast of the same set; sharing it keeps the barrier's host
-        /// cost O(n) instead of O(n²) announcement clones.
-        anns: std::sync::Arc<AnnList>,
+        /// cost O(n) instead of O(n²) handle copies.
+        anns: Arc<AnnList>,
         /// AURC: time by which all updates destined to the receiver have
         /// arrived (0 for TreadMarks).
         update_horizon: Cycles,
@@ -130,8 +133,9 @@ pub enum Msg {
 impl Msg {
     /// Wire size in bytes, used for network serialization and congestion.
     pub fn bytes(&self, page_bytes: u64, page_words: u64) -> u64 {
-        let anns_bytes =
-            |anns: &[IntervalAnnouncement]| anns.iter().map(|a| a.encoded_bytes()).sum::<u64>();
+        let anns_bytes = |anns: &[Arc<IntervalAnnouncement>]| {
+            anns.iter().map(|a| a.encoded_bytes()).sum::<u64>()
+        };
         MSG_HEADER_BYTES
             + match self {
                 Msg::LockReq { vt, .. } | Msg::LockForward { vt, .. } => 4 + 4 * vt.len() as u64,
@@ -192,7 +196,7 @@ mod tests {
             pages: vec![1, 2],
         };
         let mut anns = AnnList::new();
-        anns.push(ann);
+        anns.push(Arc::new(ann));
         let grant = Msg::LockGrant {
             lock: 0,
             anns,
@@ -211,12 +215,12 @@ mod tests {
 
     #[test]
     fn prefetch_flag_detected() {
-        let vt = VectorTime::new(4);
+        let vt = Arc::new(VectorTime::new(4));
         let req = Msg::DiffReq {
             page: 0,
             intervals: IvlList::new(),
             requester: 0,
-            requester_vt: vt.clone(),
+            requester_vt: Arc::clone(&vt),
             prefetch: true,
             want_page: false,
         };

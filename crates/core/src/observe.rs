@@ -421,7 +421,7 @@ mod tests {
                 page: 0,
                 intervals: Default::default(),
                 requester: 0,
-                requester_vt: vt.clone(),
+                requester_vt: std::sync::Arc::new(vt.clone()),
                 prefetch: false,
                 want_page: false,
             },

@@ -2,11 +2,17 @@
 //!
 //! The hot path of a simulated run churns through short-lived heap buffers:
 //! every write fault snapshots a page into a twin, every diff collects a
-//! word list, every synchronization message clones vector times and
-//! announcement page lists. At 256 nodes the allocator dominates the host
-//! profile (`BENCH_WALL.json` made this visible). These pools recycle the
-//! backing `Vec`s through per-thread free lists instead of returning them to
-//! the heap.
+//! word list, every synchronization message carries a vector time and a
+//! list of announcement handles, every fault groups its pending notices. At
+//! 256 nodes the allocator dominates the host profile (`BENCH_WALL.json`
+//! made this visible). These pools recycle the backing `Vec`s through
+//! per-thread free lists instead of returning them to the heap.
+//!
+//! Interval announcements themselves are not pooled copies: each is built
+//! once when its interval closes and shared by `Arc` (see
+//! [`crate::interval`]); only the lists that carry the handles, and the
+//! page list an announcement gives back when its last handle drops, pass
+//! through here.
 //!
 //! **Inertness invariant**: pooling changes *where host memory comes from*
 //! and nothing else. Every `take_*` hands back an empty vector (length 0)
@@ -91,20 +97,21 @@ pool_class!(
     u32
 );
 pool_class!(
-    /// Page-id lists (announcement page sets).
+    /// Page-id lists (the open interval's dirty set, which becomes its
+    /// announcement's page list).
     IDS,
     take_ids,
     put_ids,
     u64
 );
 pool_class!(
-    /// Announcement-list containers (lock-grant and barrier payloads).
-    /// Parking one clears it first, which drops each announcement and
-    /// returns *its* pooled internals too.
+    /// Announcement-handle lists (lock-grant and barrier payloads).
+    /// Parking one clears it first, which drops each handle; the last
+    /// handle of an announcement returns *its* pooled internals too.
     ANNS,
     take_anns,
     put_anns,
-    crate::interval::IntervalAnnouncement
+    std::sync::Arc<crate::interval::IntervalAnnouncement>
 );
 pool_class!(
     /// Diff-list containers (diff-reply payloads and fault accumulators).
@@ -114,11 +121,19 @@ pool_class!(
     crate::diff::Diff
 );
 pool_class!(
-    /// `(owner, interval)` scratch pairs (pending-notice grouping).
+    /// `(owner, interval)` pairs (pending-notice grouping and the notices
+    /// a fault or prefetch satisfies).
     PAIRS,
     take_pairs,
     put_pairs,
     (usize, crate::vtime::IntervalId)
+);
+pool_class!(
+    /// Per-writer request batches of one fault or prefetch.
+    REQS,
+    take_reqs,
+    put_reqs,
+    (usize, crate::msg::Msg)
 );
 
 #[cfg(test)]

@@ -9,6 +9,8 @@
 //! work and always runs on the computation processor (§3.2), even with a
 //! protocol controller.
 
+use std::sync::Arc;
+
 use ncp2_sim::ops::{BarrierId, LockId};
 use ncp2_sim::{Category, Cycles};
 
@@ -67,9 +69,8 @@ impl Simulation {
         self.close_interval(pid);
         #[cfg(feature = "verify")]
         self.emit(crate::observe::ProtocolEvent::BarrierArrived { pid, barrier });
-        let anns = self.nodes[pid]
-            .store
-            .missing_for(&self.nodes[pid].last_barrier_vt.clone());
+        let nd = &self.nodes[pid];
+        let anns = nd.store.missing_for(&nd.last_barrier_vt);
         self.advance(
             pid,
             self.params.list_processing * (anns.len() as Cycles + 1),
@@ -93,15 +94,16 @@ impl Simulation {
     }
 
     /// Closes the open interval if it dirtied anything: bumps the vector
-    /// time, records the announcement, and prepares diffs per protocol
-    /// (write-protect + lazy twins in software modes, eager DMA diffs in the
-    /// hardware-diff modes, nothing in AURC).
+    /// time, builds the interval's one shared announcement, enters its
+    /// causal sort key in the machine-wide table, and prepares diffs per
+    /// protocol (write-protect + lazy twins in software modes, eager DMA
+    /// diffs in the hardware-diff modes, nothing in AURC).
     pub(crate) fn close_interval(&mut self, pid: usize) {
         if self.nodes[pid].cur_dirty.is_empty() {
             return;
         }
         let id = self.nodes[pid].vt.bump(pid);
-        let pages = std::mem::take(&mut self.nodes[pid].cur_dirty);
+        let pages = std::mem::replace(&mut self.nodes[pid].cur_dirty, crate::pool::take_ids());
         match self.protocol {
             Protocol::TreadMarks(_) => self.tm_close_pages(pid, id, &pages),
             Protocol::Aurc { .. } => {
@@ -119,12 +121,15 @@ impl Simulation {
             vt: self.nodes[pid].vt.clone(),
             pages: pages.clone(),
         });
-        let ann = IntervalAnnouncement {
+        let ann = Arc::new(IntervalAnnouncement {
             owner: pid,
             id,
             vt: self.nodes[pid].vt.clone(),
             pages,
-        };
+        });
+        let sums = &mut self.sums[pid];
+        debug_assert_eq!(sums.len(), id as usize, "intervals close in id order");
+        sums.push(ann.vt_sum());
         self.nodes[pid].store.record(ann);
     }
 
@@ -306,11 +311,11 @@ impl Simulation {
         let bs = self.barriers.get_or_insert_with(barrier, || BarrierState {
             arrived: 0,
             merged_vt: None,
-            anns: crate::interval::IntervalStore::new(),
+            anns: AnnList::new(),
             horizons: vec![Vec::new(); n],
         });
         for ann in anns.drain() {
-            bs.anns.record(ann);
+            bs.anns.push(ann);
         }
         match &mut bs.merged_vt {
             Some(m) => m.merge(&vt),
@@ -328,7 +333,7 @@ impl Simulation {
             return;
         }
         // Last arrival: release everyone.
-        let bs = self
+        let mut bs = self
             .barriers
             .remove(barrier)
             // invariant: this is the nth arrival, so the state the first
@@ -336,7 +341,8 @@ impl Simulation {
             .expect("barrier state exists");
         // invariant: every arrival merges its vector time before this point
         let merged = bs.merged_vt.expect("at least one arrival");
-        let all_anns = std::sync::Arc::new(bs.anns.all());
+        bs.anns.sort_dedup();
+        let all_anns = Arc::new(bs.anns);
         for k in 0..n {
             let update_horizon = bs
                 .horizons
@@ -348,7 +354,7 @@ impl Simulation {
             let msg = Msg::BarrierRelease {
                 barrier,
                 vt: merged.clone(),
-                anns: std::sync::Arc::clone(&all_anns),
+                anns: Arc::clone(&all_anns),
                 update_horizon,
             };
             self.send_msg(&mut c, manager, k, msg, Category::Ipc, true);
@@ -360,7 +366,7 @@ impl Simulation {
         pid: usize,
         t: Cycles,
         vt: VectorTime,
-        anns: std::sync::Arc<AnnList>,
+        anns: Arc<AnnList>,
         update_horizon: Cycles,
     ) {
         debug_assert!(
@@ -403,7 +409,7 @@ impl Simulation {
     pub(crate) fn process_anns(
         &mut self,
         pid: usize,
-        anns: &[IntervalAnnouncement],
+        anns: &[Arc<IntervalAnnouncement>],
         t: Cycles,
     ) -> Cycles {
         match self.protocol {
@@ -421,6 +427,159 @@ impl Simulation {
         match self.protocol {
             Protocol::TreadMarks(_) => self.tm_issue_prefetches(pid, t),
             Protocol::Aurc { .. } => self.aurc_issue_prefetches(pid, t),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::OverlapMode;
+    use crate::system::Ev;
+    use ncp2_sim::SysParams;
+    use proptest::prelude::*;
+
+    fn sim(n: usize) -> Simulation {
+        Simulation::new(
+            SysParams::default().with_nprocs(n),
+            Protocol::TreadMarks(OverlapMode::Base),
+        )
+    }
+
+    /// Delivers queued messages (no processor runs) until `stop` matches the
+    /// next one or the queue is empty; wake-ups are dropped.
+    fn deliver_until(s: &mut Simulation, stop: impl Fn(&Msg) -> bool) {
+        while let Some(ev) = s.queue.peek() {
+            if matches!(&ev.payload, Ev::Msg { msg, .. } if stop(msg)) {
+                return;
+            }
+            let ev = s.queue.pop().expect("peeked event");
+            if let Ev::Msg { dst, msg } = ev.payload {
+                s.handle_msg(dst, ev.time, msg);
+            }
+        }
+    }
+
+    /// Every node dirties page `pid` and arrives at barrier 0. Returns each
+    /// owner's announcement handle, taken from its own store.
+    fn arrive_all(s: &mut Simulation, n: usize) -> Vec<Arc<IntervalAnnouncement>> {
+        for pid in 0..n {
+            s.nodes[pid].cur_dirty.push(pid as u64);
+            s.op_barrier(pid, 0);
+        }
+        (0..n)
+            .map(|p| Arc::clone(s.nodes[p].store.get(p, 1).expect("own interval")))
+            .collect()
+    }
+
+    #[test]
+    fn a_64_node_barrier_shares_one_allocation_per_announcement() {
+        let n = 64;
+        let mut s = sim(n);
+        let own = arrive_all(&mut s, n);
+        deliver_until(&mut s, |m| matches!(m, Msg::BarrierRelease { .. }));
+        // All n releases carry one list, and it holds the owners' very
+        // allocations.
+        let mut releases = Vec::new();
+        while let Some(ev) = s.queue.pop() {
+            if let Ev::Msg { dst, msg } = ev.payload {
+                releases.push((ev.time, dst, msg));
+            }
+        }
+        let lists: Vec<&Arc<AnnList>> = releases
+            .iter()
+            .map(|(_, _, m)| match m {
+                Msg::BarrierRelease { anns, .. } => anns,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(lists.len(), n);
+        assert!(lists.iter().all(|l| Arc::ptr_eq(l, lists[0])));
+        let list = Arc::clone(lists[0]);
+        assert_eq!(list.len(), n);
+        for (a, o) in list.iter().zip(&own) {
+            assert!(Arc::ptr_eq(a, o));
+        }
+        // Recording the release's announcements (the step of the release
+        // handler before its barrier GC empties the stores) leaves every
+        // node's store holding the same allocation.
+        let mut probe = sim(n);
+        for pid in 0..n {
+            probe.process_anns(pid, &list, 0);
+        }
+        for (owner, a) in own.iter().enumerate() {
+            for pid in 0..n {
+                assert!(Arc::ptr_eq(
+                    probe.nodes[pid].store.get(owner, 1).unwrap(),
+                    a
+                ));
+            }
+            // Ours, the owner's store, the shared list, n probe stores.
+            assert_eq!(Arc::strong_count(a), 3 + n);
+        }
+        drop((probe, list));
+        for (t, dst, msg) in releases {
+            s.handle_msg(dst, t, msg);
+        }
+        for a in &own {
+            // Delivered and collected everywhere: only our handle is left.
+            assert_eq!(Arc::strong_count(a), 1);
+        }
+    }
+
+    #[test]
+    fn vt_sum_survives_the_barrier_gc() {
+        let n = 4;
+        let mut s = sim(n);
+        let own = arrive_all(&mut s, n);
+        deliver_until(&mut s, |_| false);
+        for pid in 0..n {
+            // The release collected every announcement ...
+            assert!(s.nodes[pid].store.is_empty());
+            for (owner, a) in own.iter().enumerate() {
+                // ... but the causal sort key outlives it, for the pending
+                // notices the release left on the pages.
+                assert_eq!(s.vt_sum(pid, owner, 1), a.vt_sum());
+                assert!(a.vt_sum() > 0);
+                if owner != pid {
+                    let page = s.nodes[pid].pages.get(owner as u64).unwrap();
+                    assert_eq!(page.pending, vec![(owner, 1)]);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// For random interval histories (closes, plus announcement
+        /// propagation as on a lock grant), the machine-wide table holds
+        /// each interval's vector-time sum, and every node that has
+        /// recorded an interval reads that sum.
+        #[test]
+        fn sum_table_matches_announcements(
+            steps in prop::collection::vec((0usize..4, 0usize..4, 0u64..6), 0..60)
+        ) {
+            let n = 4;
+            let mut s = sim(n);
+            let mut closed: Vec<Arc<IntervalAnnouncement>> = Vec::new();
+            for &(p, q, page) in &steps {
+                if p == q {
+                    s.nodes[p].cur_dirty.push(page);
+                    s.close_interval(p);
+                    let id = s.nodes[p].vt.get(p);
+                    closed.push(Arc::clone(s.nodes[p].store.get(p, id).unwrap()));
+                } else {
+                    let anns = s.nodes[p].store.missing_for(&s.nodes[q].vt);
+                    s.process_anns(q, &anns, 0);
+                }
+            }
+            for a in &closed {
+                prop_assert_eq!(s.sums[a.owner][a.id as usize], a.vt_sum());
+                for pid in 0..n {
+                    if s.nodes[pid].vt.covers_interval(a.owner, a.id) {
+                        prop_assert_eq!(s.vt_sum(pid, a.owner, a.id), a.vt_sum());
+                    }
+                }
+            }
         }
     }
 }

@@ -20,7 +20,7 @@ use ncp2_sim::{
 use crate::bitvec::DirtyVec;
 use crate::controller::Controller;
 use crate::diff::DiffList;
-use crate::interval::IntervalStore;
+use crate::interval::{AnnList, IntervalStore};
 use crate::msg::Msg;
 use crate::page::{page_of, PageBuf, PageId, PageState};
 use crate::protocol::Protocol;
@@ -359,7 +359,8 @@ impl Node {
 pub(crate) struct BarrierState {
     pub arrived: usize,
     pub merged_vt: Option<VectorTime>,
-    pub anns: IntervalStore,
+    /// Every arrival's announcement handles, deduplicated at release.
+    pub anns: AnnList,
     /// AURC: `horizons[src][dst]` arrival horizon reported by each arrival.
     pub horizons: Vec<Vec<Cycles>>,
 }
@@ -371,6 +372,15 @@ pub struct Simulation {
     pub(crate) queue: EventQueue<Ev>,
     pub(crate) net: Network,
     pub(crate) nodes: Vec<Node>,
+    /// `sums[owner][id]` is the component sum of owner's interval `id`'s
+    /// close-time vector time: the causal sort key for diff application.
+    /// It is a property of the interval, not of any node, so it is computed
+    /// once when the interval closes (`sums[owner][0]` stands for "no
+    /// interval"). Deliberately **not** garbage-collected: a page's pending
+    /// notices can outlive the barrier that collects the full
+    /// announcements, and the fault that finally services them still needs
+    /// the causal order. 8 B per interval machine-wide.
+    pub(crate) sums: Vec<Vec<u64>>,
     /// Lock manager state: last owner per lock (chain head).
     pub(crate) lock_last: FlatMap<usize>,
     pub(crate) barriers: FlatMap<BarrierState>,
@@ -426,6 +436,7 @@ impl Simulation {
             queue: EventQueue::new(),
             net: Network::new(n),
             nodes: (0..n).map(|p| Node::new(p, &params)).collect(),
+            sums: vec![vec![0]; n],
             lock_last: FlatMap::new(),
             barriers: FlatMap::new(),
             master: FlatMap::new(),

@@ -14,6 +14,8 @@
 //!   bit vectors and the DMA engine generates diffs eagerly when an interval
 //!   closes and applies incoming diffs by scatter-gather.
 
+use std::sync::Arc;
+
 use ncp2_sim::{Category, Cycles, ProcOp, ProcReply};
 
 use crate::controller::Controller;
@@ -371,13 +373,14 @@ impl Simulation {
             Category::Data,
             SpanKind::NoticeMgmt,
         );
-        let requests = self.tm_build_requests(pid, page, &pending, false);
+        let mut requests = self.tm_build_requests(pid, page, &pending, false);
         crate::pool::put_pairs(pending);
         let outstanding = requests.len();
         let mut t = self.nodes[pid].time;
-        for (owner, msg) in requests {
+        for (owner, msg) in requests.drain(..) {
             self.send_msg(&mut t, pid, owner, msg, Category::Data, false);
         }
+        crate::pool::put_reqs(requests);
         self.nodes[pid].time = t;
         self.block(
             pid,
@@ -392,7 +395,9 @@ impl Simulation {
     }
 
     /// Groups pending notices into per-writer requests; flips to a whole
-    /// page fetch from the most recent writer when the chain is long.
+    /// page fetch from the most recent writer when the chain is long. Every
+    /// request of the batch shares one snapshot of the requester's vector
+    /// time. The returned buffer is pooled: drain it, then `put_reqs` it.
     fn tm_build_requests(
         &mut self,
         pid: usize,
@@ -415,7 +420,8 @@ impl Simulation {
         } else {
             None
         };
-        let mut out = Vec::new();
+        let requester_vt = Arc::new(self.nodes[pid].vt.clone());
+        let mut out = crate::pool::take_reqs();
         let mut i = 0;
         while i < by_owner.len() {
             let owner = by_owner[i].0;
@@ -428,7 +434,7 @@ impl Simulation {
                 page,
                 intervals: ivls,
                 requester: pid,
-                requester_vt: self.nodes[pid].vt.clone(),
+                requester_vt: Arc::clone(&requester_vt),
                 prefetch,
                 want_page: want_page_from == Some(owner),
             };
@@ -439,9 +445,20 @@ impl Simulation {
     }
 
     /// Linear extension key for causal apply order: the component sum of an
-    /// interval's vector time (strictly monotone along causal chains).
-    fn vt_sum(&self, pid: usize, owner: usize, ivl: IntervalId) -> u64 {
-        self.nodes[pid].store.vt_sum(owner, ivl)
+    /// interval's vector time (strictly monotone along causal chains), or 0
+    /// for an interval that has not closed yet (`pid`'s own open interval,
+    /// whose diff an invalidation may have forced early).
+    pub(crate) fn vt_sum(&self, pid: usize, owner: usize, ivl: IntervalId) -> u64 {
+        let sum = self.sums[owner].get(ivl as usize).copied().unwrap_or(0);
+        // The table knows every interval closed anywhere, but `pid` may only
+        // order intervals it has seen: every lookup names one it has
+        // recorded (its vector time covers exactly those) or one that has
+        // not closed.
+        debug_assert!(
+            sum == 0 || self.nodes[pid].vt.covers_interval(owner, ivl),
+            "processor {pid} looked up interval ({owner}, {ivl}) it never recorded"
+        );
+        sum
     }
 
     // ----- servicing diff requests ------------------------------------------
@@ -454,7 +471,7 @@ impl Simulation {
         page: PageId,
         intervals: IvlList,
         requester: usize,
-        requester_vt: VectorTime,
+        requester_vt: Arc<VectorTime>,
         prefetch: bool,
         want_page: bool,
     ) {
@@ -487,12 +504,13 @@ impl Simulation {
         // Additionally the copy must dominate the requester's history: a
         // page tagged with a vector time that does not cover the requester's
         // would clobber concurrent intervals the requester already applied.
-        let clean = self.nodes[dst]
-            .pages
-            .get(page)
-            .is_some_and(|p| p.pending.is_empty())
+        let clean = want_page
+            && self.nodes[dst]
+                .pages
+                .get(page)
+                .is_some_and(|p| p.pending.is_empty())
             && self.nodes[dst].vt.covers(&requester_vt);
-        let need_full = (want_page && clean) || {
+        let need_full = clean || {
             intervals.iter().any(|&ivl| {
                 !self.nodes[dst].diffs.contains(page, ivl)
                     && !matches!(
@@ -656,9 +674,17 @@ impl Simulation {
             (std::mem::take(&mut f.diffs), f.full_page.take(), f.ready_at)
         };
         let (got_diffs, got_page, ready_at) = ready;
-        let requested = std::mem::take(&mut self.tm_page(dst, page).pending);
+        // Every notice pending now is satisfied; the page keeps its list's
+        // capacity for the next invalidation.
+        let mut requested = crate::pool::take_pairs();
+        {
+            let pending = &mut self.tm_page(dst, page).pending;
+            requested.extend_from_slice(pending);
+            pending.clear();
+        }
         let (end, cpu) =
             self.tm_apply_collected(dst, page, got_diffs, got_page, ready_at, &requested, false);
+        crate::pool::put_pairs(requested);
         self.obs_edge(
             crate::span::EdgeKind::FaultFill,
             dst,
@@ -711,6 +737,7 @@ impl Simulation {
             &ps.requested,
             true,
         );
+        crate::pool::put_pairs(ps.requested);
         self.record(
             end,
             dst,
@@ -891,7 +918,7 @@ impl Simulation {
     pub(crate) fn tm_process_anns(
         &mut self,
         pid: usize,
-        anns: &[IntervalAnnouncement],
+        anns: &[Arc<IntervalAnnouncement>],
         t: Cycles,
     ) -> Cycles {
         let params = self.params.clone();
@@ -901,7 +928,7 @@ impl Simulation {
                 continue;
             }
             self.nodes[pid].vt.observe(ann.owner, ann.id);
-            self.nodes[pid].store.record(ann.clone());
+            self.nodes[pid].store.record(Arc::clone(ann));
             if ann.owner == pid {
                 continue;
             }
@@ -999,10 +1026,11 @@ impl Simulation {
             self.obs_prefetch_issued(pid, page, c);
             self.nodes[pid].stats.prefetches += 1;
             self.ts_count(crate::timeseries::TsCounter::PrefetchIssued, c, 1);
-            let pending = self.tm_page(pid, page).pending.clone();
-            let requests = self.tm_build_requests(pid, page, &pending, true);
+            let mut pending = crate::pool::take_pairs();
+            pending.extend_from_slice(&self.tm_page(pid, page).pending);
+            let mut requests = self.tm_build_requests(pid, page, &pending, true);
             let outstanding = requests.len();
-            for (owner, msg) in requests {
+            for (owner, msg) in requests.drain(..) {
                 c += if mode.offload() {
                     Controller::issue_cost(&params)
                 } else {
@@ -1014,6 +1042,7 @@ impl Simulation {
                     self.dispatch(c, pid, owner, msg);
                 }
             }
+            crate::pool::put_reqs(requests);
             self.nodes[pid].prefetches.insert(
                 page,
                 PrefetchState {

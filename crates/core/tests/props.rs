@@ -8,6 +8,7 @@ use ncp2_core::page::PageBuf;
 use ncp2_core::vtime::VectorTime;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 fn page_from(words: &BTreeMap<u16, u32>) -> PageBuf {
     let mut p = PageBuf::new(4096);
@@ -151,8 +152,8 @@ proptest! {
         for &(owner, id) in &ivls {
             let mut vt = VectorTime::new(4);
             vt.observe(owner, id);
-            let ann = IntervalAnnouncement { owner, id, vt, pages: vec![id as u64] };
-            store.record(ann.clone());
+            let ann = Arc::new(IntervalAnnouncement { owner, id, vt, pages: vec![id as u64] });
+            store.record(Arc::clone(&ann));
             store.record(ann); // idempotent
         }
         prop_assert_eq!(store.len(), ivls.len());

@@ -82,6 +82,8 @@ const MAX_BITS: u32 = 20;
 /// Upper clamp for `width_log2`; beyond this a single day covers any
 /// realistic span of simulated time.
 const MAX_WIDTH_LOG2: u32 = 48;
+/// Event slots a rebuild keeps for reuse beyond twice the pending count.
+const KEEP_FLOOR: usize = 4096;
 
 /// A deterministic min-priority queue of [`Event`]s.
 ///
@@ -117,6 +119,13 @@ pub struct EventQueue<T> {
     /// Set when a scan had to fall back to a full ring walk (some event lay
     /// a whole year past `min_hint`); the next pop retunes the day width.
     want_retune: Cell<bool>,
+    /// Buckets cut off by a shrink, and the list a rebuild gathers events
+    /// in: kept so that a queue whose depth swings (every barrier) resizes
+    /// its ring without reallocating what the last swing already grew.
+    /// Their spare capacity is bounded at each rebuild (see `KEEP_FLOOR`),
+    /// so a queue that once ran deep does not hold that memory forever.
+    spare: Vec<Vec<Event<T>>>,
+    gather: Vec<Event<T>>,
 }
 
 impl<T> Default for EventQueue<T> {
@@ -137,6 +146,8 @@ impl<T> EventQueue<T> {
             min_hint: 0,
             cached_min: Cell::new(None),
             want_retune: Cell::new(false),
+            spare: Vec::new(),
+            gather: Vec::new(),
         }
     }
 
@@ -325,7 +336,7 @@ impl<T> EventQueue<T> {
     /// width tuned to the pending span. Layout-only: times, priorities and
     /// sequence numbers are untouched, so pop order is unaffected.
     fn rebuild(&mut self, bits: u32) {
-        let mut events: Vec<Event<T>> = Vec::with_capacity(self.len);
+        let mut events = std::mem::take(&mut self.gather);
         for bucket in &mut self.buckets {
             events.append(bucket);
         }
@@ -342,13 +353,41 @@ impl<T> EventQueue<T> {
         };
         self.bucket_bits = bits;
         self.width_log2 = Self::width_for(max_t - min_t, bits);
-        self.buckets = (0..1usize << bits).map(|_| Vec::new()).collect();
+        let n = 1usize << bits;
+        if n < self.buckets.len() {
+            self.spare.extend(self.buckets.drain(n..));
+        }
+        while self.buckets.len() < n {
+            self.buckets.push(self.spare.pop().unwrap_or_default());
+        }
+        // Keep at most twice the pending events' worth of empty slots
+        // (plus a floor), ring buckets first: enough to absorb the next
+        // swing, and memory a deep queue grew goes back once it drains.
+        let mut budget = 2 * events.len() + KEEP_FLOOR;
+        let mut keep = |v: &Vec<Event<T>>| {
+            let fits = v.capacity() <= budget;
+            if fits {
+                budget -= v.capacity();
+            }
+            fits
+        };
+        for bucket in &mut self.buckets {
+            if !keep(bucket) {
+                *bucket = Vec::new();
+            }
+        }
+        // linear: one pass over the spare buckets, once per rebuild (which
+        // already walks every pending event).
+        self.spare.retain(&mut keep);
         self.min_hint = min_t;
         self.cached_min.set(None);
         self.want_retune.set(false);
-        for ev in events {
+        for ev in events.drain(..) {
             let b = self.bucket_of(ev.time);
             self.buckets[b].push(ev);
+        }
+        if keep(&events) {
+            self.gather = events;
         }
     }
 }
@@ -466,6 +505,50 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 10_000);
+    }
+
+    /// Empty event slots held across buckets, spare buckets and the
+    /// rebuild list.
+    fn idle_slots<T>(q: &EventQueue<T>) -> usize {
+        let cap: usize = q.buckets.iter().chain(&q.spare).map(Vec::capacity).sum();
+        cap + q.gather.capacity() - q.len()
+    }
+
+    #[test]
+    fn a_drained_deep_queue_returns_its_memory() {
+        let mut q = EventQueue::new();
+        for i in 0..100_000u64 {
+            q.push(i % 5_000, Priority::Normal, i);
+        }
+        assert!(
+            idle_slots(&q) > 2 * KEEP_FLOOR,
+            "a deep ring holds many slots"
+        );
+        while q.pop().is_some() {}
+        assert!(
+            idle_slots(&q) <= 2 * KEEP_FLOOR,
+            "{} idle slots retained",
+            idle_slots(&q)
+        );
+    }
+
+    #[test]
+    fn swinging_depth_reuses_the_ring() {
+        let mut q = EventQueue::new();
+        let swing = |q: &mut EventQueue<u64>| {
+            for i in 0..512u64 {
+                q.push(i % 7, Priority::Normal, i);
+            }
+            while q.pop().is_some() {}
+        };
+        swing(&mut q);
+        let slots = idle_slots(&q);
+        for _ in 0..4 {
+            // The same swing again: the rebuilds reuse what the first one
+            // grew, and nothing new is allocated.
+            swing(&mut q);
+            assert_eq!(idle_slots(&q), slots);
+        }
     }
 
     /// Drives the calendar queue and the heap reference model through the
